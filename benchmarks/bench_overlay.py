@@ -199,9 +199,11 @@ def main(argv=None) -> int:
     )
     build_seconds = time.perf_counter() - t0
     shortcuts = sum(lv.shortcut_count for lv in overlay.levels)
+    pruned = sum(lv.pruned_bound for lv in overlay.stats.levels)
     print(
         f"overlay: {levels} level(s), grid {nx}, {shortcuts} shortcuts "
-        f"in {build_seconds:.1f}s"
+        f"in {build_seconds:.1f}s ({overlay.stats.workers_used} worker(s), "
+        f"{pruned} relaxations bound-pruned before compose)"
     )
 
     rows, aggregate, answers_checked, worst_diff = measure_pairs(
@@ -256,6 +258,8 @@ def main(argv=None) -> int:
             "speedup_overlay_vs_flat": aggregate,
             "min_pair_speedup": min(r["speedup"] for r in rows),
             "build_seconds": build_seconds,
+            "build_workers": overlay.stats.workers_used,
+            "build_pruned_bound": pruned,
             "snapshot_bytes": roundtrip["snapshot_bytes"],
             "warm_query_ms": roundtrip["warm_query_ms"],
             "cpu_count": os.cpu_count() or 1,

@@ -16,11 +16,13 @@ Two implementations share the loop structure:
 
 * the **kernel-native** path (default): per-node profiles are kept as raw
   breakpoint arrays and updated with the fused flat-array operators of
-  :mod:`repro.func.kernel` — ``compose`` to extend along an edge,
-  ``lt_somewhere`` as an O(n) improvement test that skips the merge
-  entirely when a candidate is nowhere better, and ``merge_min`` +
-  ``simplify`` when it is.  Function objects are only materialised once at
-  the end, via ``MonotonePiecewiseLinear._trusted_monotone``.
+  :mod:`repro.func.kernel` — a FIFO lower bound that rejects most losing
+  candidates before they are composed (counted in ``pruned_bound``),
+  ``compose`` to extend along an edge, ``lt_somewhere`` as an O(n)
+  improvement test that skips the merge entirely when a candidate is
+  nowhere better, and ``merge_min`` + ``simplify`` when it is.  Function
+  objects are only materialised once at the end, via
+  ``MonotonePiecewiseLinear._trusted_monotone``.
 * the **legacy object** path (``REPRO_FUNC_KERNEL=0``): the original
   per-update ``pointwise_minimum`` over function objects, retained as the
   parity oracle and benchmark baseline.
@@ -52,6 +54,10 @@ _MAX_RELAXATIONS_FACTOR = 2000
 
 #: Tolerance below which a candidate profile is not considered an improvement.
 _IMPROVE_TOL = 1e-9
+
+#: Floating-point slack of the pre-compose bound, on top of the
+#: ``n·_IMPROVE_TOL`` simplify drift (see ``docs/hierarchy.md``, "Build").
+_BOUND_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -153,10 +159,15 @@ def profile_search(
 def _search_kernel(
     network, source, lo, hi, node_filter, run, budget
 ) -> dict[int, MonotonePiecewiseLinear]:
-    """Flat-array loop: profiles live as (xs, ys) arrays until the end."""
+    """Flat-array loop: profiles live as (xs, ys) arrays until the end.
+
+    Each profile is stored with its slowest travel time, ``max(y - x)``, so
+    the pre-compose bound (see :func:`_bound_rejects`) starts with an O(1)
+    scalar test.
+    """
     seed = identity(lo, hi)
-    prof: dict[int, tuple[list[float], list[float]]] = {
-        source: (list(seed._xs), list(seed._ys))
+    prof: dict[int, tuple[list[float], list[float], float]] = {
+        source: _entry(list(seed._xs), list(seed._ys))
     }
     run.exit_hook = lambda s: setattr(s, "distinct_nodes", len(prof))
     stats = run.stats
@@ -168,8 +179,9 @@ def _search_kernel(
         stats.max_queue_size = max(stats.max_queue_size, len(queue))
         u = queue.popleft()
         queued.discard(u)
-        u_xs, u_ys = prof[u]
+        u_xs, u_ys, _ = prof[u]
         arr_lo, arr_hi = u_ys[0], u_ys[-1]
+        u_fastest = kernel.min_travel(u_xs, u_ys)
         stats.expanded_paths += 1
         run.tick()
         for edge in network.outgoing(u):
@@ -181,27 +193,65 @@ def _search_kernel(
                 raise run.over_budget(budget, "relaxations")
             stats.labels_generated += 1
             edge_fn = run.edge_arrival(edge, arr_lo, arr_hi)
-            cxs, cys = kernel.compose(edge_fn._xs, edge_fn._ys, u_xs, u_ys)
-            cxs, cys = kernel.simplify(cxs, cys, _IMPROVE_TOL)
+            e_xs, e_ys = edge_fn._xs, edge_fn._ys
             incumbent = prof.get(v)
+            if incumbent is not None and _bound_rejects(
+                edge, e_xs, e_ys, u_xs, u_ys, u_fastest, incumbent
+            ):
+                stats.pruned_bound += 1
+                continue
+            cxs, cys = kernel.compose(e_xs, e_ys, u_xs, u_ys)
+            cxs, cys = kernel.simplify(cxs, cys, _IMPROVE_TOL)
             if incumbent is None:
-                prof[v] = (cxs, cys)
+                prof[v] = _entry(cxs, cys)
             else:
-                inc_xs, inc_ys = incumbent
+                inc_xs, inc_ys, _ = incumbent
                 if not kernel.lt_somewhere(
                     cxs, cys, inc_xs, inc_ys, _IMPROVE_TOL
                 ):
                     continue  # candidate nowhere better: skip the merge
                 mxs, mys = kernel.merge_min(inc_xs, inc_ys, cxs, cys)
-                prof[v] = kernel.simplify(mxs, mys, _IMPROVE_TOL)
+                prof[v] = _entry(*kernel.simplify(mxs, mys, _IMPROVE_TOL))
             if v not in queued:
                 queue.append(v)
                 queued.add(v)
 
     return {
         n: MonotonePiecewiseLinear._trusted_monotone(list(xs), list(ys))
-        for n, (xs, ys) in prof.items()
+        for n, (xs, ys, _) in prof.items()
     }
+
+
+def _entry(xs: list[float], ys: list[float]):
+    """A profile with its slowest travel time (breakpoints suffice: the
+    travel-time function is linear between them)."""
+    return xs, ys, max(y - x for x, y in zip(xs, ys))
+
+
+def _bound_rejects(edge, e_xs, e_ys, u_xs, u_ys, u_fastest, incumbent) -> bool:
+    """True when ``edge ∘ u`` cannot improve on ``incumbent``.
+
+    FIFO edges give ``edge∘u(x) >= u(x) + m`` with ``m`` the edge's fastest
+    traversal.  If the incumbent lies at or below ``u + m - margin``
+    everywhere, the exact test (``lt_somewhere`` on the simplified
+    composition, tolerance ``_IMPROVE_TOL``) would reject the candidate too:
+    simplify moves a point by at most ``(n - 2)·_IMPROVE_TOL`` with
+    ``n <= len(u) + len(edge)``, and ``_BOUND_SLACK`` covers rounding.  The
+    scalar test compares the incumbent's slowest travel time with u's
+    fastest; the pointwise one is a single dominance sweep.  An edge
+    function that ends before u's latest arrival is clamped by ``compose``,
+    which voids the inequality, so it is never rejected.
+    """
+    if e_xs[-1] < u_ys[-1]:
+        return False
+    m = getattr(edge, "min_tt", None)
+    if m is None:
+        m = kernel.min_travel(e_xs, e_ys)
+    floor = m - ((len(u_xs) + len(e_xs)) * _IMPROVE_TOL + _BOUND_SLACK)
+    inc_xs, inc_ys, inc_slowest = incumbent
+    if inc_slowest <= u_fastest + floor:
+        return True
+    return kernel.le_everywhere(inc_xs, inc_ys, u_xs, u_ys, floor)
 
 
 def _search_legacy(

@@ -33,6 +33,7 @@ level-``k`` profile search returns the true street-level minimum.
 
 from __future__ import annotations
 
+import os
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -67,6 +68,9 @@ class LevelStats:
     breakpoints: int = 0
     profile_searches: int = 0
     expanded_paths: int = 0
+    #: relaxations the profile searches' pre-compose bound rejected
+    #: (candidates never composed; ``SearchStats.pruned_bound`` summed)
+    pruned_bound: int = 0
     build_seconds: float = 0.0
 
 
@@ -261,7 +265,7 @@ def _init_worker(state: dict) -> None:  # pragma: no cover - worker process
 def _cell_job(state: dict, cell_index: int, boundary: Sequence[int]):
     """All boundary profile searches of one cell.
 
-    Returns ``("ok", rows, searches, expanded)`` with deterministic row
+    Returns ``("ok", rows, searches, expanded, pruned)`` with deterministic row
     order (sorted boundary sources, sorted targets), or a typed failure
     marker — budget/timeout errors carry unpicklable partial stats, so they
     cross the pool as tuples and are re-raised in the parent.
@@ -281,6 +285,7 @@ def _cell_job(state: dict, cell_index: int, boundary: Sequence[int]):
     rows: list[tuple[int, int, tuple, tuple]] = []
     searches = 0
     expanded = 0
+    pruned = 0
     try:
         for b in boundary:
             budget = (
@@ -299,6 +304,7 @@ def _cell_job(state: dict, cell_index: int, boundary: Sequence[int]):
             )
             searches += 1
             expanded += result.stats.expanded_paths
+            pruned += result.stats.pruned_bound
             for other in sorted(result.profiles):
                 if other == b:
                     continue
@@ -316,13 +322,22 @@ def _cell_job(state: dict, cell_index: int, boundary: Sequence[int]):
         return ("timeout", exc.deadline, searches, expanded)
     except SearchBudgetExceeded as exc:
         return ("budget", exc.budget, exc.what, searches)
-    return ("ok", rows, searches, expanded)
+    return ("ok", rows, searches, expanded, pruned)
 
 
 def _cell_task(args):  # pragma: no cover - executed in worker processes
-    cell_index, boundary = args
+    index, (cell_index, boundary) = args
     assert _WORKER_STATE is not None, "pool initializer did not run"
-    return _cell_job(_WORKER_STATE, cell_index, boundary)
+    return index, _cell_job(_WORKER_STATE, cell_index, boundary)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, not the host's
+    count): the default size of the overlay build's process pool."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):  # platforms without affinity masks
+        return max(1, os.cpu_count() or 1)
 
 
 def _make_pool(workers: int, state: dict):
@@ -428,7 +443,7 @@ class MultiLevelOverlay:
         fanout: int = 2,
         horizon: TimeInterval | None = None,
         *,
-        workers: int = 1,
+        workers: int | None = None,
         max_pops: int | None = None,
         deadline: float | None = None,
         horizon_pad: float = 720.0,
@@ -442,7 +457,8 @@ class MultiLevelOverlay:
         serial and the parallel path).  ``workers > 1`` fans the per-cell
         searches across a fork-preferring process pool, one pool per level
         (levels are sequential by construction); results are bitwise
-        identical to the serial build.
+        identical to the serial build.  ``workers=None`` (the default) sizes
+        the pool from :func:`usable_cpus`; ``workers=1`` builds serially.
 
         ``horizon_pad`` (minutes) widens lower levels' departure windows:
         level ``k`` is built over ``[start, end + pad·(levels-1-k)]``
@@ -457,6 +473,7 @@ class MultiLevelOverlay:
         if fanout < 2:
             raise QueryError(f"overlay needs fanout >= 2, got {fanout}")
         ny = nx if ny is None else ny
+        workers = usable_cpus() if workers is None else max(1, workers)
         started = time.monotonic()
         deadline_at = None if deadline is None else started + deadline
         grid = GridPartition(network, nx, ny)
@@ -464,7 +481,7 @@ class MultiLevelOverlay:
         overlay = cls(
             network, grid, fanout, horizon, [], OverlayStats(), horizon_pad
         )
-        overlay.stats.workers_used = max(1, workers)
+        overlay.stats.workers_used = workers
 
         boundaries = _boundaries_by_level(network, grid, fanout, levels)
         for level in range(levels):
@@ -525,9 +542,10 @@ class MultiLevelOverlay:
                     raise SearchBudgetExceeded(
                         outcome[1], SearchStats(), what=outcome[2]
                     )
-                _, rows, searches, expanded = outcome
+                _, rows, searches, expanded, pruned = outcome
                 stats.profile_searches += searches
                 stats.expanded_paths += expanded
+                stats.pruned_bound += pruned
                 for s, t, row_xs, row_ys in rows:
                     src.append(s)
                     dst.append(t)
@@ -618,6 +636,7 @@ class MultiLevelOverlay:
             fresh_rows: dict[int, list] = {}
             searches = 0
             expanded = 0
+            pruned = 0
             for (cell, _), outcome in zip(tasks, results):
                 kind = outcome[0]
                 if kind == "timeout":
@@ -626,10 +645,11 @@ class MultiLevelOverlay:
                     raise SearchBudgetExceeded(
                         outcome[1], SearchStats(), what=outcome[2]
                     )
-                _, rows, cell_searches, cell_expanded = outcome
+                _, rows, cell_searches, cell_expanded, cell_pruned = outcome
                 fresh_rows[cell] = rows
                 searches += cell_searches
                 expanded += cell_expanded
+                pruned += cell_pruned
             # Swapping ``levels[level]`` in place is visible to every live
             # _LevelBuildGraph / query graph holding this overlay, and the
             # next iteration's level builds against the refreshed rows.
@@ -640,6 +660,7 @@ class MultiLevelOverlay:
                 fresh_rows,
                 searches,
                 expanded,
+                pruned,
                 time.monotonic() - level_started,
             )
             if level < len(self.stats.levels):
@@ -656,6 +677,7 @@ class MultiLevelOverlay:
         fresh_rows: dict[int, list],
         searches: int,
         expanded: int,
+        pruned: int,
         elapsed: float,
     ) -> OverlayLevel:
         """A new :class:`OverlayLevel` with touched cells' rows replaced.
@@ -715,6 +737,7 @@ class MultiLevelOverlay:
             breakpoints=len(xs),
             profile_searches=old.stats.profile_searches + searches,
             expanded_paths=old.stats.expanded_paths + expanded,
+            pruned_bound=old.stats.pruned_bound + pruned,
             build_seconds=old.stats.build_seconds + elapsed,
         )
         return OverlayLevel(
@@ -769,15 +792,27 @@ def _boundaries_by_level(
 
 
 def _run_level(tasks, state: dict, workers: int) -> list:
-    """Run one level's cell jobs, in order, serially or across a pool."""
+    """Run one level's cell jobs serially or across a pool; the results
+    come back in task order either way.
+
+    Cells are uneven (a level-1 cell's cost spreads over 50x on a metro),
+    so the pool is handed them one at a time, largest first by boundary
+    count (one profile search per boundary node): the long cells start at
+    once and the short ones fill in behind them.
+    """
     if workers <= 1 or len(tasks) <= 1:
         return [_cell_job(state, cell, boundary) for cell, boundary in tasks]
     pool = _make_pool(min(workers, len(tasks)), state)
     if pool is None:
         return [_cell_job(state, cell, boundary) for cell, boundary in tasks]
+    order = sorted(range(len(tasks)), key=lambda i: -len(tasks[i][1]))
+    results: list = [None] * len(tasks)
     try:
-        chunk = max(1, len(tasks) // (4 * workers))
-        return pool.map(_cell_task, tasks, chunksize=chunk)
+        for index, outcome in pool.imap_unordered(
+            _cell_task, [(i, tasks[i]) for i in order]
+        ):
+            results[index] = outcome
+        return results
     finally:
         pool.terminate()
         pool.join()

@@ -422,10 +422,18 @@ def make_server(
     return ServeServer((host, port), service, quiet=quiet)
 
 
+#: serve_forever's shutdown poll in :func:`start_in_thread`: ``shutdown()``
+#: waits up to one interval (the stdlib default is 0.5 s).
+_THREAD_POLL_S = 0.02
+
+
 def start_in_thread(server: ServeServer) -> threading.Thread:
     """Run ``serve_forever`` on a daemon thread (tests, smoke scripts)."""
     thread = threading.Thread(
-        target=server.serve_forever, name="repro-serve-http", daemon=True
+        target=server.serve_forever,
+        kwargs={"poll_interval": _THREAD_POLL_S},
+        name="repro-serve-http",
+        daemon=True,
     )
     thread.start()
     return thread

@@ -13,6 +13,7 @@ from repro.core.batch import (
 from repro.core.engine import IntAllFastestPaths
 from repro.core.runtime import SearchContext
 from repro.exceptions import QueryError
+from repro.func import kernel
 from repro.serve import (
     AllFPService,
     HTTPClient,
@@ -24,6 +25,12 @@ from repro.serve import (
 )
 from repro.serve.http import MAX_BATCH_ITEMS
 from repro.timeutil import TimeInterval
+
+
+kernel_path = pytest.mark.skipif(
+    not kernel.KERNEL_ENABLED,
+    reason="the pre-compose bound lives on the kernel-native path",
+)
 
 
 @pytest.fixture
@@ -222,6 +229,15 @@ class TestBatchHTTP:
         assert status == 200
         assert len(body["result"]["items"]) == 3
         assert body["result"]["groups"] == 1
+
+    @kernel_path
+    def test_stats_count_candidates_never_composed(
+        self, http_service, interval
+    ):
+        _, client = http_service
+        status, body = client.batch_one_to_many(0, [55, 99], interval)
+        assert status == 200
+        assert body["result"]["stats"]["pruned_bound"] > 0
 
     @pytest.mark.parametrize(
         "body_extra",

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import main
+from repro.func import kernel
 
 
 @pytest.fixture(scope="module")
@@ -506,6 +509,34 @@ class TestOverlayVerbs:
 
     def test_build_overlay_reports_levels(self, overlay_snapshot, capsys):
         assert overlay_snapshot.exists()
+
+    @pytest.mark.skipif(
+        not kernel.KERNEL_ENABLED,
+        reason="the pre-compose bound lives on the kernel-native path",
+    )
+    def test_build_overlay_summary_sizes_pool_and_counts_pruned(
+        self, network_json, tmp_path, capsys
+    ):
+        from repro.hierarchy.overlay import usable_cpus
+
+        code = main(
+            [
+                "build-overlay",
+                "--network",
+                str(network_json),
+                "--out",
+                str(tmp_path / "net.ovl"),
+                "--overlay-grid",
+                "6",
+                "--grid",
+                "4",
+            ]
+        )
+        assert code == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert f"({usable_cpus()} worker(s)," in summary
+        pruned = re.search(r"(\d+) relaxations bound-pruned", summary)
+        assert pruned is not None and int(pruned.group(1)) > 0
 
     def test_snapshot_info_shows_overlay(self, overlay_snapshot, capsys):
         code = main(["snapshot-info", "--snapshot", str(overlay_snapshot)])

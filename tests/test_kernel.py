@@ -20,6 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.profile import (
+    _BOUND_SLACK,
+    _IMPROVE_TOL,
+    _bound_rejects,
+    _entry,
+)
 from repro.exceptions import FunctionShapeError
 from repro.func import kernel
 from repro.func.envelope import AnnotatedEnvelope
@@ -204,6 +210,94 @@ def test_restrict_matches_legacy(f, p, q):
         t = lo + (hi - lo) * i / steps
         assert fused(t) == pytest.approx(f(t), abs=1e-6)
         assert legacy(t) == pytest.approx(fused(t), abs=1e-6)
+
+
+# ----------------------------------------------------------------------
+# Profile search's pre-compose bound: sound against the exact test.
+# ----------------------------------------------------------------------
+
+TAU = _IMPROVE_TOL
+
+
+@st.composite
+def fifo_arrival(draw, lo: float, hi: float, min_travel: float = 0.0):
+    """Raw ``(xs, ys)`` of a FIFO arrival function ``x + tt(x)`` on
+    ``[lo, hi]``: slopes in [0.1, 4], travel times >= ``min_travel``,
+    sometimes constant (then ``edge∘u`` is exactly ``u + m``)."""
+    gaps = draw(
+        st.lists(
+            st.floats(min_value=0.05, max_value=(hi - lo) / 2), max_size=8
+        )
+    )
+    xs = [lo]
+    for gap in gaps:
+        if xs[-1] + gap < hi - 0.05:
+            xs.append(xs[-1] + gap)
+    xs.append(hi)
+    tt = draw(st.floats(min_value=min_travel, max_value=min_travel + 30.0))
+    constant = draw(st.booleans())
+    ys = [lo + tt]
+    for x0, x1 in zip(xs, xs[1:]):
+        gap = x1 - x0
+        if not constant:
+            step = draw(st.floats(min_value=-0.9 * gap, max_value=3.0 * gap))
+            tt = max(tt + step, min_travel)
+        ys.append(x1 + tt)
+    return xs, ys
+
+
+def _candidate(e_xs, e_ys, u_xs, u_ys):
+    return kernel.simplify(*kernel.compose(e_xs, e_ys, u_xs, u_ys), TAU)
+
+
+def _rejects(e_xs, e_ys, u_xs, u_ys, inc_xs, inc_ys) -> bool:
+    return _bound_rejects(
+        object(), e_xs, e_ys, u_xs, u_ys,
+        kernel.min_travel(u_xs, u_ys), _entry(list(inc_xs), list(inc_ys)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bound_rejects_only_what_the_exact_test_rejects(data):
+    u_xs, u_ys = data.draw(fifo_arrival(0.0, 60.0))
+    e_xs, e_ys = data.draw(
+        fifo_arrival(u_ys[0] - 1.0, u_ys[-1] + 30.0, min_travel=0.5)
+    )
+    c_xs, c_ys = _candidate(e_xs, e_ys, u_xs, u_ys)
+    m = kernel.min_travel(e_xs, e_ys)
+    margin = (len(u_xs) + len(e_xs)) * TAU + _BOUND_SLACK
+    # Shifts of a few τ, and up to the margin (~1000 τ) either way.
+    k = data.draw(
+        st.integers(min_value=-3 * len(c_xs), max_value=3 * len(c_xs))
+        | st.integers(min_value=-2000, max_value=2000)
+    )
+    family = data.draw(st.sampled_from(["candidate", "floor", "random"]))
+    if family == "candidate":
+        # Near-tie: the incumbent is the candidate itself, shifted by k·τ.
+        inc_xs, inc_ys = c_xs, [y + k * TAU for y in c_ys]
+    elif family == "floor":
+        # At the bound's threshold: u + m - margin, shifted by k·τ.
+        inc_xs, inc_ys = u_xs, [y + m - margin + k * TAU for y in u_ys]
+    else:
+        inc_xs, inc_ys = data.draw(fifo_arrival(0.0, 60.0))
+    if _rejects(e_xs, e_ys, u_xs, u_ys, inc_xs, inc_ys):
+        assert not kernel.lt_somewhere(c_xs, c_ys, inc_xs, inc_ys, TAU)
+
+
+def test_bound_rejects_a_clear_loser_and_keeps_a_winner():
+    u_xs, u_ys = [0.0, 30.0, 60.0], [10.0, 45.0, 70.0]
+    e_xs, e_ys = [0.0, 200.0], [5.0, 205.0]  # 5 minutes, all day
+    c_xs, c_ys = _candidate(e_xs, e_ys, u_xs, u_ys)
+    worse_incumbent = [y + 1.0 for y in c_ys]
+    better_incumbent = [y - 1.0 for y in c_ys]
+    assert not _rejects(e_xs, e_ys, u_xs, u_ys, c_xs, worse_incumbent)
+    assert _rejects(e_xs, e_ys, u_xs, u_ys, c_xs, better_incumbent)
+    # An edge function ending before u's latest arrival is clamped by
+    # compose, which voids the bound: never rejected.
+    assert not _rejects(
+        [0.0, 60.0], [5.0, 65.0], u_xs, u_ys, c_xs, better_incumbent
+    )
 
 
 # ----------------------------------------------------------------------

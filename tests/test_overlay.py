@@ -10,6 +10,8 @@ the serve tier boots warm from a mapped snapshot.
 from __future__ import annotations
 
 import array
+import hashlib
+import sys
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.estimators.boundary import BoundaryNodeEstimator
 from repro.exceptions import EstimatorError, QueryError
 from repro.func import kernel
 from repro.hierarchy import MultiLevelOverlay, OverlayEngine
+from repro.hierarchy.overlay import usable_cpus
 from repro.network.generator import MetroConfig, make_metro_network
 from repro.timeutil import TimeInterval, parse_clock
 
@@ -114,10 +117,11 @@ class TestBuild:
         assert all(lv.profile_searches > 0 for lv in stats.levels)
         assert stats.build_seconds >= 0.0
 
-    def test_parallel_build_matches_serial(self, metro_tiny, overlay_tiny):
+    def test_parallel_build_matches_serial(self, metro_tiny):
+        serial = _build(metro_tiny, levels=2, workers=1)
         parallel = _build(metro_tiny, levels=2, workers=2)
         for serial_level, parallel_level in zip(
-            overlay_tiny.levels, parallel.levels
+            serial.levels, parallel.levels
         ):
             assert serial_level.src == parallel_level.src
             assert serial_level.dst == parallel_level.dst
@@ -125,15 +129,58 @@ class TestBuild:
             assert serial_level.xs == parallel_level.xs
             assert serial_level.ys == parallel_level.ys
 
+    @pytest.mark.skipif(
+        not kernel.KERNEL_ENABLED,
+        reason="the digest pins the kernel-native path's bytes",
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shortcut_arrays_match_golden_digest(self, metro_tiny, workers):
+        # Recorded before the profile search's pre-compose bound and the
+        # largest-first pool: both must leave the shortcut bytes unchanged.
+        overlay = _build(metro_tiny, levels=2, workers=workers)
+        assert _digest(overlay) == GOLDEN_TINY_2LEVEL
+        assert all(lv.pruned_bound > 0 for lv in overlay.stats.levels)
+
+    def test_default_pool_is_sized_from_usable_cpus(self, overlay_tiny):
+        assert overlay_tiny.stats.workers_used == usable_cpus()
+
+    def test_pool_reassembles_cells_in_order(self, metro_tiny):
+        # The pool takes cells largest-first; rows must still come back in
+        # cell order, so the level's rows read in ascending cell order.
+        overlay = _build(metro_tiny, levels=1, workers=2)
+        cells = [overlay.cell_at(src, 0) for src in overlay.levels[0].src]
+        assert cells == sorted(cells)
+
+
+#: SHA-256 of metro_tiny's 2-level (nx=6) shortcut arrays, little-endian.
+GOLDEN_TINY_2LEVEL = (
+    "90d92523a49a8ecf6a6505b3cd6a16bbbc239741b7fc2c4ff3f805793edf060f"
+)
+
+
+def _digest(overlay) -> str:
+    digest = hashlib.sha256()
+    for level in overlay.levels:
+        for store in (level.src, level.dst, level.off, level.xs, level.ys):
+            copy = array.array(store.typecode, store)
+            if sys.byteorder == "big":
+                copy.byteswap()
+            digest.update(copy.tobytes())
+    return digest.hexdigest()
+
 
 class TestBudgets:
     def test_max_pops_budget_trips_during_build(self, metro_tiny):
         with pytest.raises(SearchBudgetExceeded):
-            MultiLevelOverlay.build(metro_tiny, levels=1, max_pops=2)
+            MultiLevelOverlay.build(
+                metro_tiny, levels=1, max_pops=2, workers=1
+            )
 
     def test_deadline_trips_during_build(self, metro_tiny):
         with pytest.raises(QueryTimeout):
-            MultiLevelOverlay.build(metro_tiny, levels=1, deadline=0.0)
+            MultiLevelOverlay.build(
+                metro_tiny, levels=1, deadline=0.0, workers=1
+            )
 
     def test_parallel_build_budget_propagates(self, metro_tiny):
         with pytest.raises(SearchBudgetExceeded):
