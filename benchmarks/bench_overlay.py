@@ -200,10 +200,12 @@ def main(argv=None) -> int:
     build_seconds = time.perf_counter() - t0
     shortcuts = sum(lv.shortcut_count for lv in overlay.levels)
     pruned = sum(lv.pruned_bound for lv in overlay.stats.levels)
+    skipped = sum(lv.skipped_clique for lv in overlay.stats.levels)
     print(
         f"overlay: {levels} level(s), grid {nx}, {shortcuts} shortcuts "
         f"in {build_seconds:.1f}s ({overlay.stats.workers_used} worker(s), "
-        f"{pruned} relaxations bound-pruned before compose)"
+        f"{pruned} relaxations bound-pruned before compose, {skipped} "
+        "chained shortcut relaxations skipped)"
     )
 
     rows, aggregate, answers_checked, worst_diff = measure_pairs(
@@ -260,6 +262,7 @@ def main(argv=None) -> int:
             "build_seconds": build_seconds,
             "build_workers": overlay.stats.workers_used,
             "build_pruned_bound": pruned,
+            "build_skipped_clique": skipped,
             "snapshot_bytes": roundtrip["snapshot_bytes"],
             "warm_query_ms": roundtrip["warm_query_ms"],
             "cpu_count": os.cpu_count() or 1,

@@ -239,7 +239,8 @@ def _cmd_build_overlay(args: argparse.Namespace) -> int:
         f"({overlay.stats.workers_used} worker(s), "
         f"{sum(lv.profile_searches for lv in levels)} profile searches, "
         f"{sum(lv.pruned_bound for lv in levels)} relaxations bound-pruned "
-        f"before compose)"
+        f"before compose, {sum(lv.skipped_clique for lv in levels)} chained "
+        f"shortcut relaxations skipped)"
     )
     return 0
 

@@ -116,6 +116,7 @@ _SUMMED_COUNTERS = (
     "labels_generated",
     "pruned_dominated",
     "pruned_bound",
+    "skipped_clique",
     "page_reads",
     "breakpoints_allocated",
     "envelope_merges",

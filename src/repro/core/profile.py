@@ -17,7 +17,9 @@ Two implementations share the loop structure:
 * the **kernel-native** path (default): per-node profiles are kept as raw
   breakpoint arrays and updated with the fused flat-array operators of
   :mod:`repro.func.kernel` — a FIFO lower bound that rejects most losing
-  candidates before they are composed (counted in ``pruned_bound``),
+  candidates before they are composed (counted in ``pruned_bound``), the
+  clique rule that skips chained same-cell shortcut relaxations on overlay
+  level graphs (counted in ``skipped_clique``),
   ``compose`` to extend along an edge, ``lt_somewhere`` as an O(n)
   improvement test that skips the merge entirely when a candidate is
   nowhere better, and ``merge_min`` + ``simplify`` when it is.  Function
@@ -164,6 +166,14 @@ def _search_kernel(
     Each profile is stored with its slowest travel time, ``max(y - x)``, so
     the pre-compose bound (see :func:`_bound_rejects`) starts with an O(1)
     scalar test.
+
+    On overlay level graphs (those with ``outgoing_split``) the clique rule
+    applies: a popped node relaxes its cell's shortcuts only if it is the
+    source or its profile was set or improved over a crossing edge since
+    its last pop.  An improvement that came over a shortcut ``a→u`` only
+    adds ``f_au∘p_a``, and ``f_uw∘f_au ≥ f_aw``, which ``a`` relaxed with
+    the same ``p_a``; the skipped relaxations are counted in
+    ``skipped_clique`` (see ``docs/hierarchy.md``, "Build").
     """
     seed = identity(lo, hi)
     prof: dict[int, tuple[list[float], list[float], float]] = {
@@ -173,6 +183,9 @@ def _search_kernel(
     stats = run.stats
     queue: deque[int] = deque([source])
     queued = {source}
+    # Nodes set or improved over a crossing edge since their last pop.
+    fresh = {source}
+    split = getattr(network, "outgoing_split", None)
     relaxations = 0
 
     while queue:
@@ -184,37 +197,54 @@ def _search_kernel(
         u_fastest = kernel.min_travel(u_xs, u_ys)
         stats.expanded_paths += 1
         run.tick()
-        for edge in network.outgoing(u):
-            v = edge.target
-            if node_filter is not None and v != source and not node_filter(v):
-                continue
-            relaxations += 1
-            if relaxations > budget:
-                raise run.over_budget(budget, "relaxations")
-            stats.labels_generated += 1
-            edge_fn = run.edge_arrival(edge, arr_lo, arr_hi)
-            e_xs, e_ys = edge_fn._xs, edge_fn._ys
-            incumbent = prof.get(v)
-            if incumbent is not None and _bound_rejects(
-                edge, e_xs, e_ys, u_xs, u_ys, u_fastest, incumbent
-            ):
-                stats.pruned_bound += 1
-                continue
-            cxs, cys = kernel.compose(e_xs, e_ys, u_xs, u_ys)
-            cxs, cys = kernel.simplify(cxs, cys, _IMPROVE_TOL)
-            if incumbent is None:
-                prof[v] = _entry(cxs, cys)
+        if split is None:
+            groups = ((network.outgoing(u), True),)
+        else:
+            crossing, clique = split(u)
+            if u in fresh:
+                groups = ((crossing, True), (clique, False))
             else:
-                inc_xs, inc_ys, _ = incumbent
-                if not kernel.lt_somewhere(
-                    cxs, cys, inc_xs, inc_ys, _IMPROVE_TOL
+                groups = ((crossing, True),)
+                stats.skipped_clique += len(clique)
+        fresh.discard(u)
+        for edges, marks_fresh in groups:
+            for edge in edges:
+                v = edge.target
+                if (
+                    node_filter is not None
+                    and v != source
+                    and not node_filter(v)
                 ):
-                    continue  # candidate nowhere better: skip the merge
-                mxs, mys = kernel.merge_min(inc_xs, inc_ys, cxs, cys)
-                prof[v] = _entry(*kernel.simplify(mxs, mys, _IMPROVE_TOL))
-            if v not in queued:
-                queue.append(v)
-                queued.add(v)
+                    continue
+                relaxations += 1
+                if relaxations > budget:
+                    raise run.over_budget(budget, "relaxations")
+                stats.labels_generated += 1
+                edge_fn = run.edge_arrival(edge, arr_lo, arr_hi)
+                e_xs, e_ys = edge_fn._xs, edge_fn._ys
+                incumbent = prof.get(v)
+                if incumbent is not None and _bound_rejects(
+                    edge, e_xs, e_ys, u_xs, u_ys, u_fastest, incumbent
+                ):
+                    stats.pruned_bound += 1
+                    continue
+                cxs, cys = kernel.compose(e_xs, e_ys, u_xs, u_ys)
+                cxs, cys = kernel.simplify(cxs, cys, _IMPROVE_TOL)
+                if incumbent is None:
+                    prof[v] = _entry(cxs, cys)
+                else:
+                    inc_xs, inc_ys, _ = incumbent
+                    if not kernel.lt_somewhere(
+                        cxs, cys, inc_xs, inc_ys, _IMPROVE_TOL
+                    ):
+                        continue  # candidate nowhere better: skip the merge
+                    mxs, mys = kernel.merge_min(inc_xs, inc_ys, cxs, cys)
+                    prof[v] = _entry(*kernel.simplify(mxs, mys, _IMPROVE_TOL))
+                if marks_fresh:
+                    fresh.add(v)
+                if v not in queued:
+                    queue.append(v)
+                    queued.add(v)
 
     return {
         n: MonotonePiecewiseLinear._trusted_monotone(list(xs), list(ys))

@@ -42,6 +42,7 @@ class SearchStats:
     labels_generated: int = 0
     pruned_dominated: int = 0
     pruned_bound: int = 0
+    skipped_clique: int = 0
     max_queue_size: int = 0
     page_reads: int = 0
     breakpoints_allocated: int = 0
@@ -60,6 +61,7 @@ class SearchStats:
             "labels_generated": self.labels_generated,
             "pruned_dominated": self.pruned_dominated,
             "pruned_bound": self.pruned_bound,
+            "skipped_clique": self.skipped_clique,
             "max_queue_size": self.max_queue_size,
             "page_reads": self.page_reads,
             "breakpoints_allocated": self.breakpoints_allocated,

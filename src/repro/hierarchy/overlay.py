@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from ..core.profile import profile_search
@@ -71,7 +71,17 @@ class LevelStats:
     #: relaxations the profile searches' pre-compose bound rejected
     #: (candidates never composed; ``SearchStats.pruned_bound`` summed)
     pruned_bound: int = 0
+    #: chained same-cell shortcut relaxations the clique rule skipped
+    #: (``SearchStats.skipped_clique`` summed)
+    skipped_clique: int = 0
     build_seconds: float = 0.0
+
+    def add_effort(self, other: "LevelStats") -> None:
+        """Sum ``other``'s search-effort counters into this summary."""
+        self.profile_searches += other.profile_searches
+        self.expanded_paths += other.expanded_paths
+        self.pruned_bound += other.pruned_bound
+        self.skipped_clique += other.skipped_clique
 
 
 @dataclass
@@ -212,7 +222,8 @@ class _LevelBuildGraph:
     ``outgoing`` of a level-``k-1`` boundary node is its original edges that
     cross a level-``k-1`` border plus its level-``k-1`` shortcuts; for
     ``k == 0`` it is simply the street graph.  Exposes the accessor surface
-    ``profile_search`` needs.
+    ``profile_search`` needs, plus ``outgoing_split``, which hands the two
+    groups over separately so the search can apply its clique rule.
     """
 
     __slots__ = ("_network", "_overlay", "_below")
@@ -237,18 +248,23 @@ class _LevelBuildGraph:
         return self._network.max_speed()
 
     def outgoing(self, node: int):
+        crossing, clique = self.outgoing_split(node)
+        return [*crossing, *clique]
+
+    def outgoing_split(self, node: int):
+        """``(crossing, clique)``: the street edges leaving ``node``'s
+        level-``k-1`` cell, and ``node``'s shortcuts inside that cell."""
         if self._overlay is None:
-            return self._network.outgoing(node)
+            return self._network.outgoing(node), ()
         overlay = self._overlay
         below = self._below
         cell = overlay.cell_at(node, below)
-        edges = [
+        crossing = [
             e
             for e in self._network.outgoing(node)
             if overlay.cell_at(e.target, below) != cell
         ]
-        edges.extend(overlay.levels[below].shortcuts_from(node))
-        return edges
+        return crossing, overlay.levels[below].shortcuts_from(node)
 
 
 # ----------------------------------------------------------------------
@@ -265,10 +281,11 @@ def _init_worker(state: dict) -> None:  # pragma: no cover - worker process
 def _cell_job(state: dict, cell_index: int, boundary: Sequence[int]):
     """All boundary profile searches of one cell.
 
-    Returns ``("ok", rows, searches, expanded, pruned)`` with deterministic row
-    order (sorted boundary sources, sorted targets), or a typed failure
-    marker — budget/timeout errors carry unpicklable partial stats, so they
-    cross the pool as tuples and are re-raised in the parent.
+    Returns ``("ok", rows, effort)`` with deterministic row order (sorted
+    boundary sources, sorted targets) and the searches' counters in a
+    :class:`LevelStats`, or a typed failure marker — budget/timeout
+    errors carry unpicklable partial stats, so they cross the pool as
+    tuples and are re-raised in the parent.
     """
     overlay: MultiLevelOverlay = state["overlay"]
     level: int = state["level"]
@@ -283,9 +300,7 @@ def _cell_job(state: dict, cell_index: int, boundary: Sequence[int]):
     )
     targets = frozenset(boundary)
     rows: list[tuple[int, int, tuple, tuple]] = []
-    searches = 0
-    expanded = 0
-    pruned = 0
+    effort = LevelStats(level=level)
     try:
         for b in boundary:
             budget = (
@@ -302,9 +317,10 @@ def _cell_job(state: dict, cell_index: int, boundary: Sequence[int]):
                 context=context,
                 **budget,
             )
-            searches += 1
-            expanded += result.stats.expanded_paths
-            pruned += result.stats.pruned_bound
+            effort.profile_searches += 1
+            effort.expanded_paths += result.stats.expanded_paths
+            effort.pruned_bound += result.stats.pruned_bound
+            effort.skipped_clique += result.stats.skipped_clique
             for other in sorted(result.profiles):
                 if other == b:
                     continue
@@ -319,10 +335,10 @@ def _cell_job(state: dict, cell_index: int, boundary: Sequence[int]):
                     )
                 )
     except QueryTimeout as exc:
-        return ("timeout", exc.deadline, searches, expanded)
+        return ("timeout", exc.deadline)
     except SearchBudgetExceeded as exc:
-        return ("budget", exc.budget, exc.what, searches)
-    return ("ok", rows, searches, expanded, pruned)
+        return ("budget", exc.budget, exc.what)
+    return ("ok", rows, effort)
 
 
 def _cell_task(args):  # pragma: no cover - executed in worker processes
@@ -542,10 +558,8 @@ class MultiLevelOverlay:
                     raise SearchBudgetExceeded(
                         outcome[1], SearchStats(), what=outcome[2]
                     )
-                _, rows, searches, expanded, pruned = outcome
-                stats.profile_searches += searches
-                stats.expanded_paths += expanded
-                stats.pruned_bound += pruned
+                _, rows, effort = outcome
+                stats.add_effort(effort)
                 for s, t, row_xs, row_ys in rows:
                     src.append(s)
                     dst.append(t)
@@ -634,9 +648,7 @@ class MultiLevelOverlay:
             }
             results = _run_level(tasks, state, workers)
             fresh_rows: dict[int, list] = {}
-            searches = 0
-            expanded = 0
-            pruned = 0
+            effort = LevelStats(level=level)
             for (cell, _), outcome in zip(tasks, results):
                 kind = outcome[0]
                 if kind == "timeout":
@@ -645,11 +657,9 @@ class MultiLevelOverlay:
                     raise SearchBudgetExceeded(
                         outcome[1], SearchStats(), what=outcome[2]
                     )
-                _, rows, cell_searches, cell_expanded, cell_pruned = outcome
+                _, rows, cell_effort = outcome
                 fresh_rows[cell] = rows
-                searches += cell_searches
-                expanded += cell_expanded
-                pruned += cell_pruned
+                effort.add_effort(cell_effort)
             # Swapping ``levels[level]`` in place is visible to every live
             # _LevelBuildGraph / query graph holding this overlay, and the
             # next iteration's level builds against the refreshed rows.
@@ -658,9 +668,7 @@ class MultiLevelOverlay:
                 level,
                 touched[level],
                 fresh_rows,
-                searches,
-                expanded,
-                pruned,
+                effort,
                 time.monotonic() - level_started,
             )
             if level < len(self.stats.levels):
@@ -675,9 +683,7 @@ class MultiLevelOverlay:
         level: int,
         touched: set[int],
         fresh_rows: dict[int, list],
-        searches: int,
-        expanded: int,
-        pruned: int,
+        effort: LevelStats,
         elapsed: float,
     ) -> OverlayLevel:
         """A new :class:`OverlayLevel` with touched cells' rows replaced.
@@ -727,19 +733,16 @@ class MultiLevelOverlay:
                     ys.extend(old.ys[a:b])
                     off.append(len(xs))
 
-        stats = LevelStats(
+        stats = replace(
+            old.stats,
             level=level,
             nx=old.nx,
             ny=old.ny,
-            cells=old.stats.cells,
-            boundary_nodes=old.stats.boundary_nodes,
             shortcuts=len(src),
             breakpoints=len(xs),
-            profile_searches=old.stats.profile_searches + searches,
-            expanded_paths=old.stats.expanded_paths + expanded,
-            pruned_bound=old.stats.pruned_bound + pruned,
             build_seconds=old.stats.build_seconds + elapsed,
         )
+        stats.add_effort(effort)
         return OverlayLevel(
             level, old.nx, old.ny, src, dst, off, xs, ys, stats
         )

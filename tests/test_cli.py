@@ -537,6 +537,9 @@ class TestOverlayVerbs:
         assert f"({usable_cpus()} worker(s)," in summary
         pruned = re.search(r"(\d+) relaxations bound-pruned", summary)
         assert pruned is not None and int(pruned.group(1)) > 0
+        # The 2-level build's level 1 applies the clique rule.
+        skipped = re.search(r"(\d+) chained shortcut relaxations", summary)
+        assert skipped is not None and int(skipped.group(1)) > 0
 
     def test_snapshot_info_shows_overlay(self, overlay_snapshot, capsys):
         code = main(["snapshot-info", "--snapshot", str(overlay_snapshot)])

@@ -26,6 +26,7 @@ from repro.estimators.boundary import BoundaryNodeEstimator
 from repro.exceptions import EstimatorError, QueryError
 from repro.func import kernel
 from repro.hierarchy import MultiLevelOverlay, OverlayEngine
+from repro.hierarchy import overlay as overlay_mod
 from repro.hierarchy.overlay import usable_cpus
 from repro.network.generator import MetroConfig, make_metro_network
 from repro.timeutil import TimeInterval, parse_clock
@@ -243,7 +244,7 @@ class TestCliqueSuppression:
         from repro.hierarchy import engine as hmod
 
         graph = hmod._OverlayQueryGraph(overlay_tiny, 0, 99)
-        hidden = IntAllFastestPaths(_HideOutgoingFrom(graph))
+        hidden = IntAllFastestPaths(_Hide(graph, "outgoing_from"))
         without_hook = hidden.all_fastest_paths(0, 99, WINDOW)
         assert (
             with_hook.stats.labels_generated
@@ -254,15 +255,78 @@ class TestCliqueSuppression:
                 without_hook.travel_time_at(instant), abs=1e-9
             )
 
+    @pytest.mark.skipif(
+        not kernel.KERNEL_ENABLED,
+        reason="the build-side clique rule lives on the kernel-native path",
+    )
+    @pytest.mark.parametrize(
+        "fixture, levels, nx", [("metro_tiny", 2, 6), ("metro_small", 3, 8)]
+    )
+    def test_build_rule_keeps_bytes_and_cuts_work(
+        self, request, monkeypatch, fixture, levels, nx
+    ):
+        """The build's profile searches skip chained same-cell shortcut
+        relaxations: the shortcut arrays are byte-identical to a build
+        with ``outgoing_split`` hidden, with strictly fewer relaxations
+        and composes."""
+        network = request.getfixturevalue(fixture)
+        with_rule = _counted_build(monkeypatch, network, levels, nx)
+        real_graph = overlay_mod._LevelBuildGraph
+        monkeypatch.setattr(
+            overlay_mod,
+            "_LevelBuildGraph",
+            lambda *args: _Hide(real_graph(*args), "outgoing_split"),
+        )
+        without_rule = _counted_build(monkeypatch, network, levels, nx)
 
-class _HideOutgoingFrom:
-    """Accessor wrapper dropping the ``outgoing_from`` trimming hook."""
+        overlay, relaxations, composes = with_rule
+        hidden, hidden_relaxations, hidden_composes = without_rule
+        for level, reference in zip(overlay.levels, hidden.levels):
+            for name in ("src", "dst", "off", "xs", "ys"):
+                assert bytes(getattr(level, name)) == bytes(
+                    getattr(reference, name)
+                ), (level.level, name)
+        assert relaxations < hidden_relaxations
+        assert composes < hidden_composes
+        # Level 0 searches the street graph, which has no clique.
+        skipped = [lv.skipped_clique for lv in overlay.stats.levels]
+        assert skipped[0] == 0 and all(n > 0 for n in skipped[1:])
+        assert all(lv.skipped_clique == 0 for lv in hidden.stats.levels)
 
-    def __init__(self, graph):
+
+def _counted_build(monkeypatch, network, levels, nx):
+    """A serial build with its relaxations (``labels_generated``) and
+    ``kernel.compose`` calls counted."""
+    counts = {"relaxations": 0, "composes": 0}
+    search = overlay_mod.profile_search
+    compose = kernel.compose
+
+    def counting_search(*args, **kwargs):
+        result = search(*args, **kwargs)
+        counts["relaxations"] += result.stats.labels_generated
+        return result
+
+    def counting_compose(*args):
+        counts["composes"] += 1
+        return compose(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(overlay_mod, "profile_search", counting_search)
+        patch.setattr(kernel, "compose", counting_compose)
+        overlay = _build(network, levels=levels, nx=nx, workers=1)
+    return overlay, counts["relaxations"], counts["composes"]
+
+
+class _Hide:
+    """Accessor wrapper dropping one optional graph method (a hook the
+    search looks up with ``getattr``)."""
+
+    def __init__(self, graph, hidden: str):
         self._graph = graph
+        self._hidden = hidden
 
     def __getattr__(self, name):
-        if name == "outgoing_from":
+        if name == self._hidden:
             raise AttributeError(name)
         return getattr(self._graph, name)
 

@@ -62,7 +62,8 @@ class TestSearchStats:
         assert d["timed_out"] is False
         assert d["bound_evaluations"] == 0
         assert d["kernel_backend"] in ("array", "numpy", "legacy")
-        assert len(d) == 15
+        assert d["skipped_clique"] == 0
+        assert len(d) == 16
 
     def test_default_zeroed(self):
         assert SearchStats().expanded_paths == 0

@@ -246,11 +246,14 @@ class TestEstimatorDelta:
 
 
 class TestOverlayDelta:
-    def test_splice_matches_full_rebuild(self):
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_splice_matches_full_rebuild(self, levels):
         network = make_metro_network(MetroConfig(width=10, height=10, seed=23))
         horizon = TimeInterval(0.0, 48 * 60.0)
+        # A 2x2 top level at every depth, so every level has shortcuts.
+        nx = 2**levels
         overlay = MultiLevelOverlay.build(
-            network, levels=2, nx=4, horizon=horizon
+            network, levels=levels, nx=nx, horizon=horizon
         )
         # An intra-cell edge at level 0 (same cell for both endpoints).
         mutation = next(
@@ -264,9 +267,10 @@ class TestOverlayDelta:
         applied = apply_batch(network, MutationBatch((mutation,)))
         recomputed = overlay.refresh_delta(applied)
         assert recomputed >= 1
+        assert all(level.shortcut_count for level in overlay.levels)
 
         rebuilt = MultiLevelOverlay.build(
-            network, levels=2, nx=4, horizon=horizon
+            network, levels=levels, nx=nx, horizon=horizon
         )
         for level, fresh in zip(overlay.levels, rebuilt.levels):
             assert bytes(level.src) == bytes(fresh.src)
